@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -13,24 +12,7 @@ import (
 // the profile-guided subsystem must be invisible until switched on. The
 // golden file is the FormatSeries output `qcbench -fig 11` printed at PR 2.
 func TestFig11DefaultMatchesPR2(t *testing.T) {
-	want, err := os.ReadFile("testdata/fig11_quick_pr2.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	series, err := Fig11Spec(true).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := FormatSeries(series, SwapCounts)
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("default pipeline diverged from PR 2 at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("default pipeline output length diverged from PR 2: %d vs %d lines", len(gl), len(wl))
-	}
+	checkSeriesGolden(t, Fig11Spec(true), "testdata/fig11_quick_pr2.golden")
 }
 
 // TestFig11ProfileGuidedMatchesGolden pins the profile-guided pipeline the
@@ -40,26 +22,9 @@ func TestFig11DefaultMatchesPR2(t *testing.T) {
 // core.evaluateKeyDomain (or the guided key tag) and regenerate with
 // `qcbench -fig 11 -profile`.
 func TestFig11ProfileGuidedMatchesGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/fig11_quick_profile_pr4.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := Fig11Spec(true)
 	spec.ProfileGuided = true
-	series, err := spec.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := FormatSeries(series, SwapCounts)
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("guided pipeline diverged from PR 4 at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("guided pipeline output length diverged from PR 4: %d vs %d lines", len(gl), len(wl))
-	}
+	checkSeriesGolden(t, spec, "testdata/fig11_quick_profile_pr4.golden")
 }
 
 // corralTreeSubset filters a spec down to the SNAIL corral/tree machines.

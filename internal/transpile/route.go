@@ -146,9 +146,9 @@ func StochasticSwapCostCtx(ctx context.Context, g *topology.Graph, c *circuit.Ci
 //
 // All per-layer and per-trial working memory lives in reusable buffers:
 // scratches holds one routerScratch per trial worker (slot 0 doubles as the
-// serial-path scratch), and the seeds/lens/best/inv buffers plus the qubit
-// arena amortize the remaining per-layer allocations, so the N-trials ×
-// L-layers inner loop stops re-making O(n²) state (see routerScratch).
+// serial-path scratch), and the seeds/inv buffers plus the qubit arena
+// amortize the remaining per-layer allocations, so the N-trials × L-layers
+// inner loop stops re-making O(n²) state (see routerScratch).
 type router struct {
 	g       *topology.Graph
 	dist    [][]int
@@ -162,8 +162,6 @@ type router struct {
 
 	scratches []*routerScratch // lazily sized to the resolved worker count
 	seeds     []int64          // per-trial RNG seeds, drawn up front
-	lens      []int            // per-trial result lengths (parallel path)
-	best      [][2]int         // winning swap sequence, reused across layers
 	inv       []int            // physical→virtual scratch for applySwaps
 	arena     intArena         // backing storage for emitted ops' qubit slices
 }
@@ -171,28 +169,38 @@ type router struct {
 // routerScratch is the reusable working state of one routing trial
 // (trialSearch): the lazily materialized perturbed cost matrix, the
 // per-pair endpoint and per-vertex incidence tables, the epoch-stamped
-// visited marks, and the swap sequence under construction. One scratch is
-// bound to one par worker slot at a time, so trials reuse these buffers
-// without locking and the trial loop runs allocation-free after warm-up.
+// visited marks, the swap sequence under construction, and the best
+// sequence this worker slot has found in the current findSwaps round. One
+// scratch is bound to one par worker slot at a time, so trials reuse these
+// buffers without locking and the trial loop runs allocation-free after
+// warm-up.
 //
-// The perturbed matrix is not computed up front. A trial draws one gaussian
-// per unordered vertex pair — the stream order is fixed, so prep walks the
-// whole stream once — but the greedy search typically reads only the
-// entries around the current pairs' positions, a tiny fraction of the n²
-// matrix on the 84-vertex machines (the single-gate fallback path reads a
-// handful). prep therefore performs an integer-only "consumption pass"
-// (fast ziggurat acceptance test, no float math, no stores) and records
-// just the rare slow-path draws; at() reconstructs any entry on demand from
-// the splitmix64 counter property state_k = state_0 + k·γ, bit-identical to
-// the eager computation (pinned by TestLazyPerturbMatchesEager).
+// The perturbed matrix is not computed up front. A trial's gaussians come
+// one per unordered vertex pair in a fixed row-major stream order, but the
+// greedy search typically reads only the entries around the current pairs'
+// positions, a tiny fraction of the n² matrix on the 84-vertex machines
+// (the single-gate fallback path reads a handful). A fast-path ziggurat
+// draw is a pure function of its stream offset, via the splitmix64 counter
+// property state_k = state_0 + k·γ; only the rare slow-path draws consume
+// extra stream values and shift every later offset. So the scratch keeps a
+// "consumption pass" over the stream — an integer-only classification of
+// draws as fast or slow (no float math, no stores for fast draws) that
+// records ordinal, cumulative extra consumption and value of each
+// slow-path draw — and extends that pass lazily: only as far as the
+// highest ordinal the trial has read so far. at() then reconstructs any
+// entry on demand, bit-identical to the eager computation (pinned by
+// TestLazyPerturbMatchesEager).
 type routerScratch struct {
-	d       []float64 // perturbed n×n cost entries, valid where stamped
-	stamp   []uint32  // generation marks for d (gen bumps per trial)
-	gen     uint32
-	state0  uint64    // trial seed (splitmix64 state before the first draw)
-	slowOrd []int32   // ordinals whose draw took the ziggurat slow path, ascending
-	slowCum []int32   // cumulative extra Uint64s consumed through slowOrd[i]
-	slowVal []float64 // |gaussian| drawn at slowOrd[i]
+	d          []float64 // perturbed n×n cost entries, valid where stamped
+	stamp      []uint32  // generation marks for d (gen bumps per trial)
+	gen        uint32
+	state0     uint64     // trial seed (splitmix64 state before the first draw)
+	cursor     splitmix64 // stream position after the classified prefix
+	classified int32      // ordinals [0, classified) have been classified
+	extra      int32      // extra Uint64s consumed by slow draws so far
+	slowOrd    []int32    // classified ordinals that took the slow path, ascending
+	slowCum    []int32    // cumulative extra Uint64s consumed through slowOrd[i]
+	slowVal    []float64  // |gaussian| drawn at slowOrd[i]
 
 	pos     [][2]int // current physical endpoints per pair
 	pairsAt [][]int  // pair indices touching each vertex
@@ -200,6 +208,9 @@ type routerScratch struct {
 	epoch   int
 	touched []int    // pairs adjacent to the edge being applied
 	seq     [][2]int // swap sequence under construction
+
+	best      [][2]int // shortest sequence of this slot's trials this round
+	bestTrial int      // trial index that produced best; -1 when none yet
 }
 
 // scratch returns the worker's reusable trial scratch, growing the slot
@@ -219,24 +230,30 @@ func (r *router) scratch(worker int) *routerScratch {
 	return sc
 }
 
-// prep seeds the scratch for one trial: bump the matrix generation and run
-// the consumption pass over all nPairs gaussian draws, recording ordinal,
-// cumulative extra stream consumption, and value for the slow-path draws
-// only (~1% of draws). Fast-path draws are a pure function of their stream
-// offset and are reconstructed by fill when (if ever) read.
-func (sc *routerScratch) prep(seed uint64, nPairs int) {
+// prep resets the scratch for one trial in O(1): bump the matrix
+// generation and rewind the consumption pass to the start of the trial's
+// stream. Draws are classified later, by fill, as reads reach them.
+func (sc *routerScratch) prep(seed uint64) {
 	sc.state0 = seed
 	sc.gen++
 	if sc.gen == 0 { // generation wrap: stale stamps could collide
 		clear(sc.stamp)
 		sc.gen = 1
 	}
+	sc.cursor = splitmix64{state: seed}
+	sc.classified = 0
+	sc.extra = 0
 	sc.slowOrd = sc.slowOrd[:0]
 	sc.slowCum = sc.slowCum[:0]
 	sc.slowVal = sc.slowVal[:0]
-	sm := splitmix64{state: seed}
-	extra := int32(0)
-	for k := 0; k < nPairs; k++ {
+}
+
+// classify extends the consumption pass to cover ordinals [0, end):
+// fast-path draws are only stepped over, slow-path draws are finished and
+// appended to the slow records, which therefore stay sorted by ordinal.
+func (sc *routerScratch) classify(end int32) {
+	sm, extra := sc.cursor, sc.extra
+	for k := sc.classified; k < end; k++ {
 		sm.state += smGamma
 		j := int32(uint32(smScramble(sm.state) >> 32))
 		i := j & 0x7F
@@ -245,10 +262,11 @@ func (sc *routerScratch) prep(seed uint64, nPairs int) {
 		}
 		g, consumed := sm.slowNormFloat64(j)
 		extra += consumed
-		sc.slowOrd = append(sc.slowOrd, int32(k))
+		sc.slowOrd = append(sc.slowOrd, k)
 		sc.slowCum = append(sc.slowCum, extra)
 		sc.slowVal = append(sc.slowVal, absf(g))
 	}
+	sc.cursor, sc.extra, sc.classified = sm, extra, end
 }
 
 // at returns the perturbed cost entry for the (distinct) vertices x, y,
@@ -262,10 +280,11 @@ func (sc *routerScratch) at(base []float64, n, x, y int) float64 {
 }
 
 // fill materializes one symmetric pair of perturbed entries: look up the
-// unordered pair's draw ordinal, recover the gaussian — directly from the
-// counter offset for fast-path draws, from the slow-path records otherwise
-// — and store base·(1 + 0.1|gauss|) under both orientations, exactly the
-// values the historical eager loop produced.
+// unordered pair's draw ordinal, extend the consumption pass through it if
+// no earlier read reached that far, recover the gaussian — directly from
+// the counter offset for fast-path draws, from the slow-path records
+// otherwise — and store base·(1 + 0.1|gauss|) under both orientations,
+// exactly the values the historical eager loop produced.
 func (sc *routerScratch) fill(base []float64, n, x, y, idx int) {
 	lo, hi := x, y
 	if lo > hi {
@@ -273,6 +292,9 @@ func (sc *routerScratch) fill(base []float64, n, x, y, idx int) {
 	}
 	// Ordinal of (lo, hi) in the row-major i<j draw order.
 	k := int32(lo*n - lo*(lo+1)/2 + (hi - lo - 1))
+	if k >= sc.classified {
+		sc.classify(k + 1)
+	}
 	var g float64
 	// Binary search the slow-draw records for k (they are few and sorted).
 	a, b := 0, len(sc.slowOrd)
@@ -393,16 +415,16 @@ func (r *router) greedyStep(p [2]int) [][2]int {
 // findSwaps runs randomized trials and returns the shortest SWAP sequence
 // (list of physical edges, applied in order) that makes every pair adjacent,
 // or nil if no trial succeeds within the depth limit. The returned slice
-// aliases a router-owned buffer that stays valid until the next findSwaps
+// aliases a scratch-owned buffer that stays valid until the next findSwaps
 // call (callers apply it immediately).
 //
 // Every trial gets its own RNG seeded from the router's stream before any
 // trial runs, and the winner is the minimum-length sequence with ties
 // broken by lowest trial index. Both choices make the outcome independent
 // of execution schedule, so the serial and worker-pool paths below are
-// interchangeable bit-for-bit: the parallel path records only each trial's
-// sequence length and deterministically replays the winning trial, which
-// is byte-identical to having kept its sequence.
+// interchangeable bit-for-bit: each worker slot keeps its own best (length,
+// trial index, sequence), and the winner is the minimum over the slots by
+// the same order.
 func (r *router) findSwaps(pairs [][2]int) [][2]int {
 	if r.allAdjacent(pairs) {
 		return [][2]int{}
@@ -413,71 +435,59 @@ func (r *router) findSwaps(pairs [][2]int) [][2]int {
 	for t := range r.seeds {
 		r.seeds[t] = r.rng.Int63()
 	}
-	if r.workers <= 1 {
-		sc := r.scratch(0)
-		bestLen := -1
-		for t := 0; t < r.trials; t++ {
-			if ok := r.runTrial(pairs, t, limit, sc); ok {
-				if bestLen < 0 || len(sc.seq) < bestLen {
-					bestLen = len(sc.seq)
-					r.best = append(r.best[:0], sc.seq...)
-				}
-				if bestLen == 0 {
-					break // can't beat an already-adjacent layer
-				}
-			}
-		}
-		if bestLen < 0 {
-			return nil
-		}
-		return r.best
-	}
-	// Parallel path: trialSearch only reads shared router state (g, dist,
-	// layout) and mutates only its worker-slot scratch, so trials share
-	// nothing but their result slots. Scratch slots are grown up front —
-	// inside the pool, workers index r.scratches without mutating it.
-	slots := r.workers
-	if slots > r.trials {
-		slots = r.trials
-	}
+	// Scratch slots are grown up front — inside the pool, workers index
+	// r.scratches without mutating it.
+	slots := min(r.workers, r.trials)
 	for w := 0; w < slots; w++ {
-		r.scratch(w)
+		r.scratch(w).bestTrial = -1
 	}
-	r.lens = grow(r.lens, r.trials)
-	par.ForEachWorker(r.trials, r.workers, func(worker, t int) error {
-		sc := r.scratches[worker]
-		if r.runTrial(pairs, t, limit, sc) {
-			r.lens[t] = len(sc.seq)
-		} else {
-			r.lens[t] = -1
+	if slots <= 1 {
+		sc := r.scratches[0]
+		for t := 0; t < r.trials; t++ {
+			r.runTrial(pairs, t, limit, sc)
 		}
-		return nil
-	})
-	winner := -1
-	for t, l := range r.lens {
-		if l >= 0 && (winner < 0 || l < r.lens[winner]) {
-			winner = t
+	} else {
+		// trialSearch only reads shared router state (g, dist, layout) and
+		// mutates only its worker-slot scratch, so trials share nothing.
+		par.ForEachWorker(r.trials, slots, func(worker, t int) error {
+			r.runTrial(pairs, t, limit, r.scratches[worker])
+			return nil
+		})
+	}
+	var win *routerScratch
+	for _, sc := range r.scratches[:slots] {
+		if sc.bestTrial >= 0 && (win == nil || beats(len(sc.best), sc.bestTrial, len(win.best), win.bestTrial)) {
+			win = sc
 		}
 	}
-	if winner < 0 {
+	if win == nil {
 		return nil
 	}
-	sc := r.scratch(0)
-	r.runTrial(pairs, winner, limit, sc) // deterministic replay of the winner
-	r.best = append(r.best[:0], sc.seq...)
-	return r.best
+	return win.best
 }
 
-// runTrial prepares the scratch's lazily perturbed view of the router's
-// cost matrix (d' = d·(1 + 0.1|gauss|), symmetric per unordered pair — hop
-// distances by default, pressure-weighted under profile-guided routing) and
-// greedily searches under it, leaving the resulting swap sequence in
-// sc.seq. It reports whether the trial made every pair adjacent within the
-// limit.
-func (r *router) runTrial(pairs [][2]int, t, limit int, sc *routerScratch) bool {
-	n := r.g.N()
-	sc.prep(uint64(r.seeds[t]), n*(n-1)/2)
-	return r.trialSearch(pairs, sc, limit)
+// beats reports whether a successful trial t with an l-swap sequence wins
+// over the incumbent (bestLen, bestTrial): shorter first, then lower trial
+// index.
+func beats(l, t, bestLen, bestTrial int) bool {
+	return l < bestLen || (l == bestLen && t < bestTrial)
+}
+
+// runTrial resets the scratch's lazily perturbed view of the router's cost
+// matrix (d' = d·(1 + 0.1|gauss|), symmetric per unordered pair — hop
+// distances by default, pressure-weighted under profile-guided routing)
+// and greedily searches under it. When the trial makes every pair adjacent
+// within the limit and beats the slot's best so far, its sequence becomes
+// the slot's best (the buffers swap, so nothing is copied).
+func (r *router) runTrial(pairs [][2]int, t, limit int, sc *routerScratch) {
+	sc.prep(uint64(r.seeds[t]))
+	if !r.trialSearch(pairs, sc, limit) {
+		return
+	}
+	if sc.bestTrial < 0 || beats(len(sc.seq), t, len(sc.best), sc.bestTrial) {
+		sc.best, sc.seq = sc.seq, sc.best
+		sc.bestTrial = t
+	}
 }
 
 // trialSearch greedily applies the cost-minimizing swap until every pair is

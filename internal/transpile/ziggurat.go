@@ -3,16 +3,19 @@ package transpile
 import "math"
 
 // This file gives the per-trial splitmix64 RNG a direct standard-normal
-// sampler. The router's randomized trials draw one gaussian per unordered
-// vertex pair per trial — an O(n²·trials) inner loop per routed layer that
-// profiling shows dominated sweep wall-clock, mostly in the interface-call
-// indirection of rand.(*Rand).NormFloat64 over a Source64. normFloat64
-// reimplements the stdlib's ziggurat sampler (Marsaglia & Tsang 2000, as
-// shipped in math/rand/normal.go) directly over splitmix64, reproducing the
-// exact draw sequence of rand.New(&splitmix64{state: seed}).NormFloat64():
-// uint32/float64 derivation included, so routed circuits are bit-identical
-// to the rand.Rand path (TestZigguratMatchesMathRand pins this). The kn/wn/
-// fn tables are copied verbatim from the Go standard library (BSD license).
+// sampler. A routing trial's perturbation is one gaussian per unordered
+// vertex pair, drawn in a fixed row-major order from
+// rand.New(&splitmix64{state: seed}).NormFloat64(). The router never runs
+// that loop: routerScratch classifies draws with the ziggurat's integer
+// fast-path test only as far as a trial reads, finishes the rare slow-path
+// draws with slowNormFloat64, and reconstructs fast-path values from their
+// stream offsets (zigWn64). normFloat64 reimplements the stdlib's ziggurat
+// sampler (Marsaglia & Tsang 2000, as shipped in math/rand/normal.go)
+// directly over splitmix64, reproducing that exact draw sequence —
+// uint32/float64 derivation included — so routed circuits are
+// bit-identical to the rand.Rand path (TestZigguratMatchesMathRand pins
+// this). The kn/wn/fn tables are copied verbatim from the Go standard
+// library (BSD license).
 const zigRn = 3.442619855899
 
 // uint32n mirrors rand.(*Rand).Uint32 over a Source64: uint32(Int63() >> 31)
