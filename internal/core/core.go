@@ -358,6 +358,14 @@ func (m Machine) EvaluateContext(ctx context.Context, c *circuit.Circuit, opt Op
 // older build serves the old algorithm's numbers as if freshly computed.
 const evaluateKeyDomain = "core.Evaluate/v1"
 
+// monteCarloKeyTag versions the Monte-Carlo estimator inside the noise/v1
+// key field, so only FidelityMonteCarlo keys move when its numbers do.
+// BUMP IT whenever noise.MonteCarloEstimator computes different
+// fidelities for the same inputs. v2: trajectories simulate only their
+// error windows and take the overlap at a checkpoint rather than at the
+// final step, which moves EstFidelity by a few ulps.
+const monteCarloKeyTag = "montecarlo/v2"
+
 // EvaluateKey derives the content hash of one Evaluate call: everything the
 // metrics depend on and nothing else (CellTimeout and Parallelism change
 // only whether/how fast a run completes, never its numbers, so they are
@@ -421,14 +429,16 @@ func (m Machine) EvaluateKey(c *circuit.Circuit, opt Options) cache.Key {
 	// profile, because an inert profile changes nothing: every baseline key
 	// (and both fig11 goldens' warm caches) stays bit-identical to earlier
 	// builds. The field hashes the mode selections plus the effective
-	// profile's parameters; shots join only under the Monte-Carlo model,
-	// normalized so the implicit default and an explicit DefaultShots share
-	// an entry (the count model ignores shots entirely).
+	// profile's parameters; the estimator version (monteCarloKeyTag) and
+	// shots join only under the Monte-Carlo model, shots normalized so the
+	// implicit default and an explicit DefaultShots share an entry (the
+	// count model ignores shots entirely).
 	if opt.Fidelity != FidelityOff || opt.NoiseRoute != NoiseRouteOff {
 		h.WriteString("noise/v1")
 		h.WriteInt(int64(opt.Fidelity))
 		h.WriteInt(int64(opt.NoiseRoute))
 		if opt.Fidelity == FidelityMonteCarlo {
+			h.WriteString(monteCarloKeyTag)
 			shots := opt.NoiseShots
 			if shots <= 0 {
 				shots = noise.DefaultShots

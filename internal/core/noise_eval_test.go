@@ -72,6 +72,28 @@ func TestEvaluateKeyNoiseStability(t *testing.T) {
 		t.Fatal("pure and blend routing share a key")
 	}
 
+	// Keys recorded before the Monte-Carlo estimator switched to windowed
+	// trajectories: the off, count and noise-route-only keys must still
+	// equal them (their -cachedir entries stay valid), while the
+	// Monte-Carlo key must not — its EstFidelity moved by a few ulps.
+	routeOnly := base
+	routeOnly.NoiseRoute = NoiseRoutePure
+	for _, k := range []struct {
+		name string
+		opt  Options
+		hash string
+		same bool
+	}{
+		{"off", base, "5f239e7cdf436a57f0ee283f159b184fc1ddfd03cd3c20591755100d7db2f1ed", true},
+		{"count", count, "e867ac6b38e93661e245cd3e1f5985e94d53736d232439073e3fe7a7ca1fc791", true},
+		{"noise-route-only", routeOnly, "28a93c1f2941988001c81ec0f886a1be13bc578050519913f5d4cbf547db2777", true},
+		{"montecarlo", mc, "81a764cfc7cc82d2b50df32a0ca0a632bb8698f9e0a3c5d5e64ff7ca56353da0", false},
+	} {
+		if got := noisy.EvaluateKey(c, k.opt).String(); (got == k.hash) != k.same {
+			t.Errorf("%s key %s vs recorded %s: want equal=%v", k.name, got, k.hash, k.same)
+		}
+	}
+
 	// The effective profile's content is part of the identity.
 	hotter := plain
 	hotter.Noise = &arch.NoiseProfile{E2Q: 0.004, TDec: 0.001}

@@ -29,8 +29,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/gates"
-	"repro/internal/linalg"
 	"repro/internal/sim"
 )
 
@@ -104,8 +102,6 @@ func (m Model) opGateError(op circuit.Op) float64 {
 func StandardDurations() map[string]float64 {
 	return map[string]float64(arch.DefaultTiming())
 }
-
-var paulis = []*linalg.Matrix{gates.X(), gates.Y(), gates.Z()}
 
 // ValidateForSim checks that a circuit is trajectory-simulable, with
 // descriptive errors instead of the silent misbehavior unchecked inputs
@@ -210,12 +206,12 @@ func (m Model) injectErrors(st *sim.State, op circuit.Op, gateErr float64, rng *
 		k := 1 + rng.Intn(15)
 		pa, pb := k%4, k/4
 		if pa > 0 {
-			if err := st.Apply1Q(op.Qubits[0], paulis[pa-1]); err != nil {
+			if err := st.ApplyPauli(op.Qubits[0], pa-1); err != nil {
 				return err
 			}
 		}
 		if pb > 0 {
-			if err := st.Apply1Q(op.Qubits[1], paulis[pb-1]); err != nil {
+			if err := st.ApplyPauli(op.Qubits[1], pb-1); err != nil {
 				return err
 			}
 		}
@@ -227,7 +223,7 @@ func (m Model) injectErrors(st *sim.State, op circuit.Op, gateErr float64, rng *
 			p := 1 - math.Exp(-d*m.DecoherenceRate)
 			for _, q := range op.Qubits {
 				if rng.Float64() < p {
-					if err := st.Apply1Q(q, paulis[rng.Intn(3)]); err != nil {
+					if err := st.ApplyPauli(q, rng.Intn(3)); err != nil {
 						return err
 					}
 				}

@@ -32,6 +32,7 @@ func TestKernelAllocs(t *testing.T) {
 	}{
 		{"Apply1Q", func() error { return s.Apply1Q(2, gates.H()) }},
 		{"Apply2Q", func() error { return s.Apply2Q(1, 4, su4) }},
+		{"ApplyPauli", func() error { return s.ApplyPauli(3, 1) }},
 		{"ApplyOp/diag", func() error { return s.ApplyOp(diagOp) }},
 		{"ApplyOp/perm", func() error { return s.ApplyOp(permOp) }},
 		{"ApplyOp/mix", func() error { return s.ApplyOp(mixOp) }},

@@ -638,13 +638,19 @@ func (s *State) RunProgramCtx(ctx context.Context, p *Program) error {
 // errors at the boundaries StepForOp names; from/to outside [0, Steps] are
 // clamped.
 func (s *State) RunProgramSteps(p *Program, from, to int) error {
+	return s.RunProgramStepsCtx(context.Background(), p, from, to)
+}
+
+// RunProgramStepsCtx is RunProgramSteps with the per-step cancellation
+// checks of RunProgramCtx.
+func (s *State) RunProgramStepsCtx(ctx context.Context, p *Program, from, to int) error {
 	if from < 0 {
 		from = 0
 	}
 	if to > len(p.ops) {
 		to = len(p.ops)
 	}
-	return s.runSteps(context.Background(), p, from, to)
+	return s.runSteps(ctx, p, from, to)
 }
 
 // runSteps executes schedule steps [from, to).

@@ -140,15 +140,46 @@ func (s *State) phase1Q(op circuit.Op, d0, d1 complex128) error {
 
 // flip1Q applies Pauli-X: exchange each (clear, set) amplitude pair.
 func (s *State) flip1Q(op circuit.Op) error {
-	mask, err := s.check1Q(op)
-	if err != nil {
+	if _, err := s.check1Q(op); err != nil {
 		return err
 	}
+	return s.ApplyPauli(op.Qubits[0], 0)
+}
+
+// ApplyPauli applies Pauli k on qubit q, with k indexing (X, Y, Z): X
+// exchanges each (clear, set) amplitude pair, Z negates the set half, and
+// Y exchanges with phases, (a0, a1) → (−i·a1, i·a0). Noise trajectories
+// inject their sampled errors through it; the results equal Apply1Q with
+// gates.X/Y/Z amplitude for amplitude, without the 2×2 complex products.
+func (s *State) ApplyPauli(q, k int) error {
+	if q < 0 || q >= s.N {
+		return fmt.Errorf("sim: qubit %d out of range", q)
+	}
+	if k < 0 || k > 2 {
+		return fmt.Errorf("sim: Pauli index %d outside [0, 2]", k)
+	}
+	mask := 1 << s.bitPos(q)
 	amp := s.Amp
-	for base := 0; base < len(amp); base += mask << 1 {
-		for i := base; i < base+mask; i++ {
-			j := i + mask
-			amp[i], amp[j] = amp[j], amp[i]
+	switch k {
+	case 0:
+		for base := 0; base < len(amp); base += mask << 1 {
+			for i := base; i < base+mask; i++ {
+				amp[i], amp[i+mask] = amp[i+mask], amp[i]
+			}
+		}
+	case 1:
+		for base := 0; base < len(amp); base += mask << 1 {
+			for i := base; i < base+mask; i++ {
+				a0, a1 := amp[i], amp[i+mask]
+				amp[i] = complex(imag(a1), -real(a1))
+				amp[i+mask] = complex(-imag(a0), real(a0))
+			}
+		}
+	case 2:
+		for base := mask; base < len(amp); base += mask << 1 {
+			for i := base; i < base+mask; i++ {
+				amp[i] = -amp[i]
+			}
 		}
 	}
 	return nil

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/gates"
+	"repro/internal/linalg"
 )
 
 // randomState returns a normalized Haar-ish random state for kernel tests.
@@ -189,6 +191,43 @@ func TestApplyOpValidation(t *testing.T) {
 	for _, op := range bad {
 		if err := s.ApplyOp(op); err == nil {
 			t.Errorf("%s %v: expected validation error", op.Name, op.Qubits)
+		}
+	}
+}
+
+// TestApplyPauliMatchesApply1Q pins the noise-injection fast path: on
+// random states, ApplyPauli(q, k) equals Apply1Q with gates.X/Y/Z
+// amplitude for amplitude, on every qubit (low qubits give long contiguous
+// runs, the last qubit runs of one), and rejects out-of-range inputs.
+func TestApplyPauliMatchesApply1Q(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	paulis := []*linalg.Matrix{gates.X(), gates.Y(), gates.Z()}
+	for _, n := range []int{1, 3, 6} {
+		for q := 0; q < n; q++ {
+			for k, u := range paulis {
+				want := randomState(t, n, rng)
+				got := want.Copy()
+				if err := want.Apply1Q(q, u); err != nil {
+					t.Fatal(err)
+				}
+				if err := got.ApplyPauli(q, k); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.Amp {
+					if got.Amp[i] != want.Amp[i] {
+						t.Fatalf("n=%d q=%d pauli %d: amp[%d] = %v, Apply1Q gives %v", n, q, k, i, got.Amp[i], want.Amp[i])
+					}
+				}
+			}
+		}
+	}
+	s, err := NewState(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][2]int{{-1, 0}, {3, 0}, {0, -1}, {0, 3}} {
+		if err := s.ApplyPauli(bad[0], bad[1]); err == nil {
+			t.Errorf("ApplyPauli(%d, %d) accepted", bad[0], bad[1])
 		}
 	}
 }

@@ -19,7 +19,8 @@
 #                       "layout_share": ..., "route_share": ...,
 #                       "translate_share": ...,
 #                       "disk_retries_per_op": ..., "degraded": ...,
-#                       "ordinals_scanned_per_trial": ... }, ... ],
+#                       "ordinals_scanned_per_trial": ...,
+#                       "mc_steps_per_shot": ... }, ... ],
 #     "scaling": [ { "gomaxprocs": N, "wall_ns": ... }, ... ] }
 #
 # cache_hits_per_op / cache_misses_per_op / swaps_per_op are emitted by the
@@ -50,6 +51,11 @@
 # QuantumVolume layer on Hypercube84): how many of the n(n−1)/2 = 3486 draw
 # ordinals a routing trial classifies on average, i.e. the length of the
 # lazily extended consumption prefix; null elsewhere.
+# mc_steps_per_shot comes from the Monte-Carlo estimator micro-benchmark
+# (BenchmarkMonteCarloEstimate in internal/noise, a routed 12-qubit QFT on
+# a 14-qubit trimmed hypercube at 256 shots): schedule steps the
+# trajectories' error windows simulate, averaged over all shots, so
+# snapshots show when trajectories go back to full runs; null elsewhere.
 #
 # The scaling section records wall-clock of one quick `qcbench -fig 12`
 # sweep at GOMAXPROCS 1/2/4 (the ROADMAP multi-core scaling demo); on a
@@ -101,7 +107,7 @@ if [[ "${BENCH_SKIP_SCALING:-0}" != "1" ]]; then
     done
 fi
 
-go test -bench="$FILTER" -benchmem -benchtime="$TIME" -count=1 -run='^$' . ./internal/transpile | tee "$RAW"
+go test -bench="$FILTER" -benchmem -benchtime="$TIME" -count=1 -run='^$' . ./internal/transpile ./internal/noise | tee "$RAW"
 
 # Newest prior snapshot (for the deltas section); empty when none exists.
 PRIOR="$(ls -t BENCH_*.json 2>/dev/null | grep -Fxv "$OUT" | head -1 || true)"
@@ -126,7 +132,7 @@ function jsonnum(line, key,   s) {
     dretries = "null"; degraded = "null"
     estfid = "null"; noisyns = "null"
     layers = "null"; bwidth = "null"; lshareop = "null"
-    dwarm = "null"; ddedup = "null"; ordinals = "null"
+    dwarm = "null"; ddedup = "null"; ordinals = "null"; mcsteps = "null"
     for (i = 3; i <= NF; i++) {
         if ($(i) == "ns/op")           ns = $(i - 1)
         if ($(i) == "B/op")            b = $(i - 1)
@@ -147,10 +153,11 @@ function jsonnum(line, key,   s) {
         if ($(i) == "daemon_warm_eval_us") dwarm = $(i - 1)
         if ($(i) == "daemon_dedup_per_op") ddedup = $(i - 1)
         if ($(i) == "ordinals_scanned/trial") ordinals = $(i - 1)
+        if ($(i) == "steps_simulated/shot") mcsteps = $(i - 1)
     }
     n++
-    lines[n] = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s, \"cache_hits_per_op\": %s, \"cache_misses_per_op\": %s, \"swaps_per_op\": %s, \"layout_share\": %s, \"route_share\": %s, \"translate_share\": %s, \"disk_retries_per_op\": %s, \"degraded\": %s, \"est_fidelity\": %s, \"noisy_eval_ns_per_op\": %s, \"layers_per_circuit\": %s, \"batch_width_avg\": %s, \"fused_layer_share\": %s, \"daemon_warm_eval_us\": %s, \"daemon_dedup_per_op\": %s, \"ordinals_scanned_per_trial\": %s}",
-                       name, iters, ns, b, allocs, chits, cmisses, swaps, lshare, rshare, tshare, dretries, degraded, estfid, noisyns, layers, bwidth, lshareop, dwarm, ddedup, ordinals)
+    lines[n] = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s, \"cache_hits_per_op\": %s, \"cache_misses_per_op\": %s, \"swaps_per_op\": %s, \"layout_share\": %s, \"route_share\": %s, \"translate_share\": %s, \"disk_retries_per_op\": %s, \"degraded\": %s, \"est_fidelity\": %s, \"noisy_eval_ns_per_op\": %s, \"layers_per_circuit\": %s, \"batch_width_avg\": %s, \"fused_layer_share\": %s, \"daemon_warm_eval_us\": %s, \"daemon_dedup_per_op\": %s, \"ordinals_scanned_per_trial\": %s, \"mc_steps_per_shot\": %s}",
+                       name, iters, ns, b, allocs, chits, cmisses, swaps, lshare, rshare, tshare, dretries, degraded, estfid, noisyns, layers, bwidth, lshareop, dwarm, ddedup, ordinals, mcsteps)
     names[n] = name; nsval[n] = ns; allocval[n] = allocs
 }
 END {

@@ -19,7 +19,9 @@
 #     agree with the closed-form count model within sampling tolerance on
 #     small circuits (TestNoiseEquivalence in internal/noise) — the count
 #     model is the exact expectation of the sampled channels, so drift
-#     means one of the two models broke.
+#     means one of the two models broke — and every windowed trajectory
+#     must match a full from-|0⟩ run within 1e-12
+#     (TestWindowedTrajectoriesMatchOracle).
 #   * chaos arm: the fault-injection suite — panic isolation, injected
 #     disk faults and corruption self-heal, cell timeouts, crash-resume
 #     byte-identity — run under the race detector (-run 'Fault|Chaos|Resume').
@@ -112,8 +114,8 @@ fi
 echo "check: architecture registry integrity (smoke builds, unique names + fingerprints)"
 go test -count=1 -run 'TestRegistryIntegrity' ./internal/arch
 
-echo "check: noise-model equivalence (Monte-Carlo vs closed-form count model)"
-go test -count=1 -run 'TestNoiseEquivalence' ./internal/noise
+echo "check: noise-model equivalence (Monte-Carlo vs closed-form count model, windowed vs full trajectories)"
+go test -count=1 -run 'TestNoiseEquivalence|TestWindowedTrajectoriesMatchOracle' ./internal/noise
 
 echo "check: chaos suite under the race detector (-run 'Fault|Chaos|Resume')"
 GOMAXPROCS=4 go test -race -count=1 -run 'Fault|Chaos|Resume' ./internal/...
